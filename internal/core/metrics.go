@@ -41,8 +41,8 @@ func MemMetricsOf(s dsm.Stats) obs.MemMetrics {
 
 // NetMetricsOf snapshots a transport's accounting into the registry shape.
 // When the backend is the TCP transport, its link diagnostics (dials,
-// replays, dedup drops) ride along; the simulated fabric reports zeros
-// there. The returned value owns its containers (transport Stats are
+// replays, dedup drops, acks written) ride along; the simulated fabric
+// reports zeros there. The returned value owns its containers (transport Stats are
 // copy-on-read).
 func NetMetricsOf(tr transport.Transport) obs.NetMetrics {
 	s := tr.Stats()
@@ -60,6 +60,7 @@ func NetMetricsOf(tr transport.Transport) obs.NetMetrics {
 		m.Replayed = d.Replayed
 		m.Duplicates = d.Duplicates
 		m.DecodeErrors = d.DecodeErrors
+		m.AcksSent = d.AcksSent
 	}
 	return m
 }

@@ -32,12 +32,13 @@
 // The replica's state is partitioned so the hot paths never share a lock
 // (DESIGN.md §12):
 //
-//   - location values live in power-of-two-sharded copy-on-write maps of
-//     *cell; a cell holds both views' values and the PRAM last-writer as
-//     atomics. Reads are lock-free: an atomic map-pointer load, a map
-//     lookup, and an atomic value load. Shard mutexes serialize only
-//     structural inserts (copy-on-write), invalidation bookkeeping, and
-//     await registration.
+//   - location values live in power-of-two-sharded maps of *cell, each a
+//     read snapshot plus a locked overflow map of new locations; a cell
+//     holds both views' values and the PRAM last-writer as atomics. Reads
+//     of a snapshotted location are lock-free: an atomic snapshot-pointer
+//     load, a map lookup, and an atomic value load. Shard mutexes
+//     serialize only inserts and overflow lookups, invalidation
+//     bookkeeping, and await registration.
 //   - protocol state — the matrix/vector clocks, sent/received counters,
 //     pending causal delivery groups, and the write log — lives under the
 //     clock lock (Node.clockMu). deps/causalApplied are mutated only under
@@ -291,16 +292,26 @@ func packLast(from int, seq uint64) uint64 {
 	return uint64(from)<<seqBits | seq&seqMask
 }
 
-// shard is one partition of the location space. The value map is
-// copy-on-write: lookups load the pointer atomically; inserts (rare — once
-// per new location) copy the map under the shard mutex. The mutex also
-// guards the invalidation table and await registration; invalidLen mirrors
-// len(invalid) so the read fast path can skip the table without locking.
+// shard is one partition of the location space. Its cells live in two
+// maps, in the manner of sync.Map: read is an immutable snapshot loaded
+// atomically, so a lookup of a location it holds takes no lock and
+// allocates nothing; overflow, guarded by mu, holds locations inserted since
+// the snapshot was taken. A new location is one map insert into overflow.
+// Lookups that must consult overflow count as misses, and once the misses
+// match the shard's size the two maps are merged into a fresh snapshot, so
+// the merge cost is amortized over as many locked lookups; an overflow that
+// grows as large as the snapshot is merged too. Either way an insert stays
+// amortized O(1). The mutex also guards the invalidation table and await
+// registration; invalidLen mirrors len(invalid) so the read fast path can
+// skip the table without locking.
 type shard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	waiters atomic.Int32
-	vals    atomic.Pointer[map[string]*cell]
+	read    atomic.Pointer[readCells]
+
+	overflow map[string]*cell
+	misses   int
 
 	invalid    map[string]invalidation
 	invalidLen atomic.Int32
@@ -310,32 +321,94 @@ type shard struct {
 	slowReads   atomic.Uint64
 }
 
-// lookup returns the location's cell, or nil if it was never written.
-func (sh *shard) lookup(loc string) *cell {
-	return (*sh.vals.Load())[loc]
+// readCells is a shard's lock-free snapshot. amended reports that the
+// shard's overflow map holds locations m lacks, so a miss in m is not yet
+// conclusive.
+type readCells struct {
+	m       map[string]*cell
+	amended bool
 }
 
-// cellFor returns the location's cell, inserting one with a copy-on-write
-// map swap if needed. Safe under any lock level at or above shard.mu in the
-// documented order.
-func (sh *shard) cellFor(loc string) *cell {
-	if c := sh.lookup(loc); c != nil {
+func (sh *shard) init() {
+	sh.cond = sync.NewCond(&sh.mu)
+	sh.read.Store(&readCells{m: map[string]*cell{}})
+}
+
+// lookup returns the location's cell, or nil if it was never written. It
+// takes the shard mutex only when the snapshot misses and the overflow map
+// is non-empty; callers already holding the mutex use lookupLocked.
+func (sh *shard) lookup(loc string) *cell {
+	r := sh.read.Load()
+	if c := r.m[loc]; c != nil || !r.amended {
 		return c
 	}
 	sh.mu.Lock()
-	old := *sh.vals.Load()
-	if c := old[loc]; c != nil {
-		sh.mu.Unlock()
+	c := sh.lookupLocked(loc)
+	sh.mu.Unlock()
+	return c
+}
+
+// lookupLocked is lookup for a caller holding sh.mu.
+func (sh *shard) lookupLocked(loc string) *cell {
+	r := sh.read.Load()
+	if c := r.m[loc]; c != nil || !r.amended {
 		return c
 	}
-	next := make(map[string]*cell, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	c := sh.overflow[loc]
+	sh.missLocked(r)
+	return c
+}
+
+// missLocked counts a lookup that had to consult overflow and promotes
+// once the misses reach the shard's size. Caller holds sh.mu.
+func (sh *shard) missLocked(r *readCells) {
+	sh.misses++
+	if sh.misses >= len(r.m)+len(sh.overflow) {
+		sh.promoteLocked(r)
+	}
+}
+
+// promoteLocked merges overflow into a fresh read snapshot. Caller holds
+// sh.mu.
+func (sh *shard) promoteLocked(r *readCells) {
+	m := make(map[string]*cell, len(r.m)+len(sh.overflow))
+	for k, v := range r.m {
+		m[k] = v
+	}
+	for k, v := range sh.overflow {
+		m[k] = v
+	}
+	sh.read.Store(&readCells{m: m})
+	sh.overflow = nil
+	sh.misses = 0
+}
+
+// cellFor returns the location's cell, inserting one into the overflow map
+// if needed. An insert that makes overflow as large as the snapshot also
+// promotes: the snapshot at least doubles each time, so the copies stay
+// amortized O(1) per insert, and a shard's first locations reach the
+// lock-free snapshot at once instead of waiting for misses. Safe under any
+// lock level above shard.mu in the documented order.
+func (sh *shard) cellFor(loc string) *cell {
+	if c := sh.read.Load().m[loc]; c != nil {
+		return c
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if c := sh.lookupLocked(loc); c != nil {
+		return c
 	}
 	c := new(cell)
-	next[loc] = c
-	sh.vals.Store(&next)
-	sh.mu.Unlock()
+	if sh.overflow == nil {
+		sh.overflow = make(map[string]*cell)
+	}
+	sh.overflow[loc] = c
+	switch r := sh.read.Load(); {
+	case len(sh.overflow) >= len(r.m):
+		sh.promoteLocked(r)
+	case !r.amended:
+		sh.read.Store(&readCells{m: r.m, amended: true})
+	}
 	return c
 }
 
@@ -601,10 +674,7 @@ func NewNode(cfg Config) (*Node, error) {
 		done:          make(chan struct{}),
 	}
 	for i := range node.shards {
-		sh := &node.shards[i]
-		sh.cond = sync.NewCond(&sh.mu)
-		m := make(map[string]*cell)
-		sh.vals.Store(&m)
+		node.shards[i].init()
 	}
 	node.clockCond = sync.NewCond(&node.clockMu)
 	if cfg.Scope != nil {
@@ -1453,7 +1523,7 @@ func (n *Node) awaitValue(loc string, value int64, causalView bool) {
 	sh.waiters.Add(1)
 	for !n.closed.Load() {
 		var v int64
-		if c := sh.lookup(loc); c != nil {
+		if c := sh.lookupLocked(loc); c != nil {
 			if causalView {
 				v = c.causal.Load()
 			} else {
@@ -1687,8 +1757,7 @@ func (n *Node) Stats() Stats {
 // selected view never received reads as zero, matching the map semantics.
 func (n *Node) Snapshot(causalView bool) map[string]int64 {
 	out := make(map[string]int64)
-	for i := range n.shards {
-		m := *n.shards[i].vals.Load()
+	view := func(m map[string]*cell) {
 		for loc, c := range m {
 			if causalView {
 				out[loc] = c.causal.Load()
@@ -1696,6 +1765,13 @@ func (n *Node) Snapshot(causalView bool) map[string]int64 {
 				out[loc] = c.pram.Load()
 			}
 		}
+	}
+	for i := range n.shards {
+		sh := &n.shards[i]
+		sh.mu.Lock()
+		view(sh.read.Load().m)
+		view(sh.overflow)
+		sh.mu.Unlock()
 	}
 	return out
 }

@@ -51,6 +51,7 @@ type NetMetrics struct {
 	Replayed     uint64 `json:"replayed,omitempty"`
 	Duplicates   uint64 `json:"duplicates,omitempty"`
 	DecodeErrors uint64 `json:"decodeErrors,omitempty"`
+	AcksSent     uint64 `json:"acksSent,omitempty"`
 }
 
 // SyncMetrics is the synchronization-client snapshot.

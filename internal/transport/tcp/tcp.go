@@ -16,7 +16,12 @@
 // cumulative ack covers it, and after a reconnect the sender replays the
 // unacked suffix. The receiver delivers in sequence order and drops
 // duplicates, so the channel stays FIFO and exactly-once no matter how many
-// times the underlying socket is torn down and re-established. A connection
+// times the underlying socket is torn down and re-established. Acks are
+// delayed and cumulative, like TCP's own delayed ACK: one acker goroutine per
+// inbound connection writes the latest delivered sequence at most ackDelay
+// after the first unacknowledged frame, or at once when ackEvery frames are
+// waiting. Acks only reclaim replay buffers and end Flush; no protocol above
+// the transport waits on them, so the delay is invisible to it. A connection
 // supervisor per peer redials with exponential backoff and jitter; sends
 // never block (they append to the unbounded per-peer buffer, as the
 // non-blocking writes of Section 3 require).
@@ -63,6 +68,15 @@ const helloMagic = 0x4d58444d // "MXDM"
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 1 << 26
+
+// Delayed-ack bounds. A receiver acknowledges no later than ackDelay after
+// the first frame it has not yet acked, and immediately once ackEvery frames
+// are unacked, so a burst cannot grow the sender's replay buffer without
+// bound while the timer runs.
+const (
+	ackDelay = time.Millisecond
+	ackEvery = 256
+)
 
 // Config configures a TCP transport for one node.
 type Config struct {
@@ -129,6 +143,8 @@ type Diag struct {
 	Duplicates uint64
 	// DecodeErrors counts inbound frames dropped as undecodable.
 	DecodeErrors uint64
+	// AcksSent counts cumulative ack frames written to inbound connections.
+	AcksSent uint64
 }
 
 // Transport is a TCP-backed transport.Transport serving one local node.
@@ -156,6 +172,10 @@ type Transport struct {
 	replayed     atomic.Uint64
 	duplicates   atomic.Uint64
 	decodeErrors atomic.Uint64
+	acksSent     atomic.Uint64
+	// ackers counts live acker goroutines. Each starts after its connection
+	// is registered in conns and exits before the connection leaves it.
+	ackers atomic.Int32
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -172,8 +192,12 @@ type peer struct {
 	to   int
 	addr string
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
+	// cond wakes the writer goroutine: new frames, a reconnect, close.
+	// acked wakes Flush waiters when an ack trims buf (and on close). Acks
+	// never wake the writer, which has nothing to do with them.
+	cond  *sync.Cond
+	acked *sync.Cond
 	// buf holds encoded msg frames not yet acked; buf[i] carries sequence
 	// base+i+1. next indexes the first frame not yet written to the
 	// current connection; a reconnect resets it to 0, replaying the
@@ -255,6 +279,7 @@ func New(cfg Config) (*Transport, error) {
 		}
 		p := &peer{to: j, addr: cfg.Peers[j], tracer: cfg.Tracer}
 		p.cond = sync.NewCond(&p.mu)
+		p.acked = sync.NewCond(&p.mu)
 		t.peers[j] = p
 		t.wg.Add(1)
 		go t.runPeer(p)
@@ -398,6 +423,7 @@ func (t *Transport) Diag() Diag {
 		Replayed:     t.replayed.Load(),
 		Duplicates:   t.duplicates.Load(),
 		DecodeErrors: t.decodeErrors.Load(),
+		AcksSent:     t.acksSent.Load(),
 	}
 }
 
@@ -415,10 +441,10 @@ func (t *Transport) Flush(timeout time.Duration) bool {
 		}
 		p.mu.Lock()
 		for len(p.buf) > 0 && !p.closed && time.Now().Before(deadline) {
-			// Poll: acks broadcast the cond, but a dead peer never will,
-			// so bound each wait.
-			w := time.AfterFunc(10*time.Millisecond, p.cond.Broadcast)
-			p.cond.Wait()
+			// Poll: acks broadcast acked, but a dead peer never will, so
+			// bound each wait.
+			w := time.AfterFunc(10*time.Millisecond, p.acked.Broadcast)
+			p.acked.Wait()
 			w.Stop()
 		}
 		if len(p.buf) > 0 {
@@ -463,6 +489,7 @@ func (t *Transport) Close() {
 				p.conn.Close()
 			}
 			p.cond.Broadcast()
+			p.acked.Broadcast()
 			p.mu.Unlock()
 		}
 		t.connMu.Lock()
@@ -504,7 +531,7 @@ func (p *peer) advanceAck(cum uint64) {
 	if cum <= p.base {
 		return
 	}
-	defer p.cond.Broadcast() // wake Flush waiters
+	defer p.acked.Broadcast() // wake Flush waiters
 	drop := int(cum - p.base)
 	if drop > len(p.buf) {
 		drop = len(p.buf)
@@ -701,12 +728,17 @@ func (t *Transport) acceptLoop() {
 }
 
 // serveConn receives one peer's channel: validate the hello, then deliver
-// msg frames in sequence order, dropping duplicates from replays and acking
-// cumulatively on the same socket.
+// msg frames in sequence order, dropping duplicates from replays. Each frame,
+// delivered or dropped, only records the new cumulative sequence; the
+// connection's acker goroutine writes the acks.
 func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
+	var a *acker
 	defer func() {
-		conn.Close()
+		conn.Close() // unblocks an acker stuck in Write
+		if a != nil {
+			a.stop()
+		}
 		t.connMu.Lock()
 		delete(t.conns, conn)
 		t.connMu.Unlock()
@@ -726,8 +758,9 @@ func (t *Transport) serveConn(conn net.Conn) {
 	if from < 0 || from >= t.n || from == t.id {
 		return
 	}
-	ack := transport.GetBuf()
-	defer func() { transport.PutBuf(ack) }()
+	a = newAcker(conn)
+	t.ackers.Add(1)
+	go t.runAcker(a)
 	for {
 		body, err = readFrame(br, body)
 		if err != nil {
@@ -742,26 +775,116 @@ func (t *Transport) serveConn(conn net.Conn) {
 			t.cfg.Logf("tcp: node %d from %d: %v", t.id, from, err)
 			continue
 		}
+		// The dedup check and the inbox push form one step under rmu: after a
+		// reconnect the old and the new connection of one sender can deliver
+		// overlapping sequences concurrently, and a push outside the lock
+		// could let the new connection's frame overtake the old one's.
 		t.rmu.Lock()
 		dup := seq <= t.lastSeq[from]
 		if !dup {
 			t.lastSeq[from] = seq
+			t.inbox.push(m)
 		}
 		cum := t.lastSeq[from]
 		t.rmu.Unlock()
 		if dup {
 			t.duplicates.Add(1)
-		} else {
-			t.inbox.push(m)
 		}
-		ack = ack[:0]
-		ack = transport.AppendUint32(ack, 9)
-		ack = append(ack, frameAck)
-		ack = transport.AppendUint64(ack, cum)
-		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-		if _, err := conn.Write(ack); err != nil {
+		// Duplicates are acked too: after a reconnect the sender is waiting
+		// for an ack of frames whose first ack died with the old socket.
+		a.record(cum)
+	}
+}
+
+// acker is the delayed cumulative acknowledger of one inbound connection.
+// The reader records each frame's cumulative sequence with record, arming
+// the acker's timer on the first unacked frame; when the timer fires, or
+// sooner once ackEvery frames are waiting, the acker goroutine writes one
+// ack carrying the latest sequence.
+type acker struct {
+	conn net.Conn
+	// cum is the highest sequence delivered on the channel; unacked counts
+	// frames recorded since the acker last took a snapshot of cum. The
+	// reader stores cum before bumping unacked and the acker zeroes unacked
+	// before loading cum, so every frame is either covered by the ack being
+	// written or bumps unacked from zero and arms the timer for the next.
+	cum     atomic.Uint64
+	unacked atomic.Int64
+	timer   *time.Timer
+	urgent  chan struct{} // ackEvery frames unacked (capacity 1)
+	quit    chan struct{}
+	done    chan struct{}
+}
+
+func newAcker(conn net.Conn) *acker {
+	a := &acker{
+		conn:   conn,
+		timer:  time.NewTimer(time.Hour),
+		urgent: make(chan struct{}, 1),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	a.timer.Stop() // armed by record
+	return a
+}
+
+// record notes a received frame whose delivery leaves the channel's
+// cumulative sequence at cum.
+func (a *acker) record(cum uint64) {
+	a.cum.Store(cum)
+	switch a.unacked.Add(1) {
+	case 1:
+		a.timer.Reset(ackDelay)
+	case ackEvery:
+		select {
+		case a.urgent <- struct{}{}:
+		default: // a wakeup is already pending
+		}
+	}
+}
+
+// stop ends the acker goroutine and waits for it to exit.
+func (a *acker) stop() {
+	close(a.quit)
+	<-a.done
+}
+
+// testHookAckerExit runs as an acker goroutine exits; tests slow it down to
+// prove that connection teardown and Close wait for the exit.
+var testHookAckerExit = func() {}
+
+// runAcker writes the connection's acks until stop is called or a write
+// fails; a failed write closes the connection, which ends the reader too.
+// A tick or urgent wakeup left over from an earlier round only makes a
+// later ack early, never late.
+func (t *Transport) runAcker(a *acker) {
+	defer close(a.done)
+	defer t.ackers.Add(-1)
+	defer testHookAckerExit()
+	defer a.timer.Stop()
+	var frame [13]byte
+	binary.BigEndian.PutUint32(frame[:], 9)
+	frame[4] = frameAck
+	for {
+		select {
+		case <-a.timer.C:
+		case <-a.urgent:
+			a.timer.Stop()
+			select {
+			case <-a.timer.C:
+			default:
+			}
+		case <-a.quit:
 			return
 		}
+		a.unacked.Store(0)
+		binary.BigEndian.PutUint64(frame[5:], a.cum.Load())
+		a.conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+		if _, err := a.conn.Write(frame[:]); err != nil {
+			a.conn.Close()
+			return
+		}
+		t.acksSent.Add(1)
 	}
 }
 
