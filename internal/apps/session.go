@@ -119,7 +119,8 @@ type SessionConfig struct {
 	// ZipfS is the key-popularity skew within a process's shard.
 	ZipfS float64
 	// Rate, when positive, paces each strand open-loop at this many
-	// requests per second; zero runs closed-loop.
+	// requests per second, and read and write latencies count from each
+	// request's due time; zero runs closed-loop, timed from issue.
 	Rate float64
 	// AggGroups is the number of global hit-counter groups.
 	AggGroups int
@@ -458,7 +459,11 @@ func ServeSessions(p core.Process, cfg SessionConfig) *SessionProcResult {
 }
 
 // runSessionWorker drives strand (me, w)'s request trace against the
-// process's session shard.
+// process's session shard. Open loop (Rate > 0) times every read and write
+// of a request from the request's due time, base + Arrival, not from its
+// issue: a stalled operation then also counts against every request queued
+// behind it, instead of hiding their wait (coordinated omission). Closed
+// loop has no due time and times from issue.
 func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandRec) {
 	g := loadgen.New(c.genConfig(me, w))
 	strand := int64(me*c.Workers + w)
@@ -470,8 +475,10 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandR
 	writes := 0
 	for i := 0; i < c.Warmup+c.Ops; i++ {
 		req := g.Next()
+		var due time.Time // zero in closed loop
 		if c.Rate > 0 {
-			if d := req.Arrival - time.Since(base); d > 0 {
+			due = base.Add(req.Arrival)
+			if d := time.Until(due); d > 0 {
 				time.Sleep(d)
 			}
 		}
@@ -481,7 +488,7 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandR
 
 		switch req.Op {
 		case loadgen.OpRead:
-			start := time.Now()
+			start := opStart(due)
 			t.ReadCausal(loc)
 			if measured {
 				rec.read.RecordDuration(time.Since(start))
@@ -491,7 +498,7 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandR
 			// Distinct per location across the owner's strands: the strand
 			// id in the high bits, the request index in the low.
 			v := (strand+1)<<32 | int64(i+1)
-			start := time.Now()
+			start := opStart(due)
 			t.Write(loc, v)
 			if measured {
 				rec.write.RecordDuration(time.Since(start))
@@ -514,7 +521,7 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandR
 		}
 		if c.AggReadEvery > 0 && i%c.AggReadEvery == 0 {
 			group := aggHitsLoc(i / c.AggReadEvery % c.AggGroups)
-			start := time.Now()
+			start := opStart(due)
 			if c.Mode == SessionHybrid {
 				t.ReadPRAM(group)
 			} else {
@@ -529,6 +536,15 @@ func runSessionWorker(t core.ThreadOps, c SessionConfig, me, w int, rec *strandR
 
 	t.Add(aggActiveLoc, -1)
 	rec.adds++
+}
+
+// opStart is when an operation's latency clock starts: the request's due
+// time in open loop, the issue time in closed loop (zero due).
+func opStart(due time.Time) time.Time {
+	if due.IsZero() {
+		return time.Now()
+	}
+	return due
 }
 
 // runVisProber chases the flagged writes of the watched process's worker w

@@ -6,6 +6,7 @@ import (
 
 	"mixedmem/internal/check"
 	"mixedmem/internal/core"
+	"mixedmem/internal/hist"
 	"mixedmem/internal/network"
 )
 
@@ -299,5 +300,71 @@ func TestSessionLearnedScopeWithinPlacement(t *testing.T) {
 	}
 	if sessionLocs == 0 {
 		t.Fatal("no registered location was ever read; test is vacuous")
+	}
+}
+
+// stallingOps is a ThreadOps whose operations are free except for one
+// write, which stalls; it counts reads so the test can tell the stall was
+// measured against more than the write itself.
+type stallingOps struct {
+	stallFrom int // first request index whose write stalls
+	stall     time.Duration
+	stalled   bool
+}
+
+func (s *stallingOps) Write(loc string, v int64) {
+	// runSessionWorker writes (strand+1)<<32 | (request index + 1).
+	if i := int(v&0xffffffff) - 1; !s.stalled && i >= s.stallFrom {
+		s.stalled = true
+		time.Sleep(s.stall)
+	}
+}
+func (s *stallingOps) ReadPRAM(string) int64    { return 0 }
+func (s *stallingOps) ReadCausal(string) int64  { return 0 }
+func (s *stallingOps) ReadSlow(string) int64    { return 0 }
+func (s *stallingOps) ReadSC(string) int64      { return 0 }
+func (s *stallingOps) Await(string, int64)      {}
+func (s *stallingOps) AwaitPRAM(string, int64)  {}
+func (s *stallingOps) Add(string, int64)        {}
+func (s *stallingOps) AddFloat(string, float64) {}
+
+// TestSessionWorkerOpenLoopTimesFromDueTime stalls one measured write for
+// 20 ms in an open-loop strand issuing about one request per millisecond.
+// Timed from due time, the requests that queued behind the stall carry it
+// too: the reads, which never stall themselves, show latencies of the
+// stall's order, and the strand's total latency is several stalls' worth.
+// Timed from issue, as closed loop is, only the stalled write would.
+func TestSessionWorkerOpenLoopTimesFromDueTime(t *testing.T) {
+	const stall = 20 * time.Millisecond
+	run := func(rate float64) *strandRec {
+		c := SessionConfig{
+			Procs: 1, Workers: 1, Sessions: 1, SessionKeys: 4,
+			Ops: 60, Warmup: 20, Rate: rate, Seed: 5,
+		}.WithDefaults()
+		rec := &strandRec{read: hist.New(), write: hist.New(), vis: hist.New()}
+		runSessionWorker(&stallingOps{stallFrom: c.Warmup + 10, stall: stall}, c, 0, 0, rec)
+		return rec
+	}
+
+	open := run(1000)
+	if got := open.write.Max(); got < int64(stall) {
+		t.Fatalf("open loop: write max %v, want >= the %v stall", time.Duration(got), stall)
+	}
+	if got := open.read.Max(); got < int64(stall/2) {
+		t.Errorf("open loop: read max %v, want >= %v: reads queued behind the stalled write hide it",
+			time.Duration(got), stall/2)
+	}
+	if total := open.read.Sum() + open.write.Sum(); total < int64(3*stall) {
+		t.Errorf("open loop: total latency %v, want >= %v (the stall charged to the queue behind it)",
+			time.Duration(total), 3*stall)
+	}
+
+	closed := run(0)
+	if got := closed.write.Max(); got < int64(stall) {
+		t.Fatalf("closed loop: write max %v, want >= the %v stall", time.Duration(got), stall)
+	}
+	if got := closed.read.Max(); got >= int64(stall) {
+		t.Errorf("closed loop: read max %v, want well under the stall: closed loop times from issue",
+			time.Duration(got))
 	}
 }

@@ -415,13 +415,13 @@ func (n *Node) lingerLoop() {
 	}
 }
 
-// deliveryGroup is one causal-delivery unit in the pending buffer: a single
-// update or a whole received batch. A batch is applied to the causal view
-// atomically once its first covered sequence number is next from its sender
-// and its latest entry's dependencies are satisfied — delivering a contiguous
-// per-sender run at the point its last element is deliverable is a legal
-// causal schedule (delivery may be delayed, never reordered), and it is what
-// lets coalesced batches keep the standard vector-clock condition.
+// deliveryGroup is one causal-delivery unit in a sender's pending queue: a
+// single update or a whole received batch. A batch is applied to the causal
+// view atomically once its first covered sequence number is next from its
+// sender and its latest entry's dependencies are satisfied — delivering a
+// contiguous per-sender run at the point its last element is deliverable is a
+// legal causal schedule (delivery may be delayed, never reordered), and it is
+// what lets coalesced batches keep the standard vector-clock condition.
 type deliveryGroup struct {
 	from     int
 	firstSeq uint64
@@ -447,10 +447,63 @@ type deliveryGroup struct {
 	// kept inline to avoid a per-update slice allocation).
 	one   Update
 	batch []Update
+	// cell is the singleton's cell, found when its PRAM apply looked the
+	// location up, so the causal apply needs no second lookup (cells are
+	// never replaced). Nil for batches.
+	cell *cell
 	// parkedAt is the UnixNano at which the tracer saw the group miss its
 	// delivery condition (0 = never parked, or tracing off); it times the
 	// dep-wait trace span and is unused otherwise.
 	parkedAt int64
+}
+
+// queueKeep is the capacity, in groups, up to which an emptied sender queue
+// keeps its backing array. A deeper backlog's array is dropped once it
+// drains, so a burst of parked groups does not stay resident for the life
+// of the node.
+const queueKeep = 64
+
+// senderQueue holds one sender's parked delivery groups in firstSeq order.
+// Every delivery condition in groupDeliverableLocked requires a group to be
+// next in its sender's stream, so only the head of a queue can ever be
+// deliverable: the drain inspects heads, never the groups parked behind
+// them. groups[head:] are the live groups; popped slots are zeroed so a
+// delivered group's clocks and entry slice are not kept alive, and the
+// backing array is reused once the queue empties (up to queueKeep).
+type senderQueue struct {
+	groups []deliveryGroup
+	head   int
+}
+
+func (q *senderQueue) len() int { return len(q.groups) - q.head }
+
+// push parks g in firstSeq order. The transport's channels are FIFO, so g
+// normally belongs at the tail and push is a plain append; a group that
+// arrives ahead of an earlier one sinks past it.
+func (q *senderQueue) push(g *deliveryGroup) {
+	if q.head > 0 && len(q.groups) == cap(q.groups) {
+		k := copy(q.groups, q.groups[q.head:])
+		clear(q.groups[k:])
+		q.groups = q.groups[:k]
+		q.head = 0
+	}
+	q.groups = append(q.groups, *g)
+	for i := len(q.groups) - 1; i > q.head && q.groups[i-1].firstSeq > q.groups[i].firstSeq; i-- {
+		q.groups[i-1], q.groups[i] = q.groups[i], q.groups[i-1]
+	}
+}
+
+// pop discards the head group.
+func (q *senderQueue) pop() {
+	q.groups[q.head] = deliveryGroup{}
+	q.head++
+	if q.head == len(q.groups) {
+		q.groups = q.groups[:0]
+		if cap(q.groups) > queueKeep {
+			q.groups = nil
+		}
+		q.head = 0
+	}
 }
 
 // groupDeliverableLocked is the causal-broadcast condition generalized to a
@@ -465,7 +518,7 @@ type deliveryGroup struct {
 // this node's row of the shipped matrix — which by construction names only
 // updates addressed to this node — must be covered by what the causal view
 // has applied from every other sender.
-func (n *Node) groupDeliverableLocked(g deliveryGroup) bool {
+func (n *Node) groupDeliverableLocked(g *deliveryGroup) bool {
 	if g.slow {
 		// Slow memory: per-sender, per-location FIFO only. The group is
 		// deliverable as soon as it is next in the sender's stream; it never

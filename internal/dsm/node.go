@@ -255,11 +255,14 @@ type Stats struct {
 	// BlockedInvalidation is the time reads stalled on lock-protocol
 	// invalidations awaiting their update.
 	BlockedInvalidation time.Duration
-	// MalformedUpdates counts received scoped-causal updates whose
-	// dependency matrix did not match the system size — a misconfigured or
-	// corrupt peer. Such updates reach the PRAM view only; they are counted
-	// as causally settled so counting primitives cannot stall on them, and
-	// this counter is the diagnostic that it happened.
+	// MalformedUpdates counts received updates a misconfigured or corrupt
+	// peer got wrong. Scoped-causal updates whose dependency matrix did not
+	// match the system size reach the PRAM view only; they are counted as
+	// causally settled so counting primitives cannot stall on them. Updates
+	// and batches whose sender ID disagrees with the channel's or lies
+	// outside [0, N) are dropped unapplied, one count per update carried. A
+	// duplicate of a group the causal view already applied is kept out of
+	// the causal view and counted once.
 	MalformedUpdates uint64
 }
 
@@ -521,9 +524,10 @@ type Node struct {
 	// count-based WaitCausalApplied, which must not compare counts against
 	// causalApplied once scoped sequence numbers have holes.
 	causalRecvd []uint64
-	// pending buffers delivery groups (single updates or whole batches)
-	// received but not yet causally applicable.
-	pending []deliveryGroup
+	// pending[j] parks the delivery groups (single updates or whole
+	// batches) received from j but not yet causally applicable, in
+	// sequence order.
+	pending []senderQueue
 	// sent[j] counts updates sent to process j (cumulative), feeding the
 	// barrier message-count protocol of Section 6.
 	sent []uint64
@@ -668,6 +672,7 @@ func NewNode(cfg Config) (*Node, error) {
 		causalApplied: newAVC(cfg.N),
 		fence:         newAVC(cfg.N),
 		causalRecvd:   make([]uint64, cfg.N),
+		pending:       make([]senderQueue, cfg.N),
 		sent:          make([]uint64, cfg.N),
 		recvd:         make([]uint64, cfg.N),
 		obs:           cfg.Tracer,
@@ -759,12 +764,21 @@ func (n *Node) recvLoop() {
 			if !ok {
 				continue
 			}
+			if !n.validSender(m.From, u.From) {
+				n.statMalformed.Add(1)
+				continue
+			}
 			n.applyRemote(u)
 			continue
 		}
 		if m.Kind == KindUpdateBatch {
 			b, ok := m.Payload.(UpdateBatch)
 			if !ok {
+				continue
+			}
+			if !n.validSender(m.From, b.From) {
+				n.statMalformed.Add(uint64(len(b.Updates)))
+				putUpdateSlice(b.Updates)
 				continue
 			}
 			n.applyBatch(b)
@@ -786,6 +800,13 @@ func (n *Node) recvLoop() {
 			n.handle(m)
 		}
 	}
+}
+
+// validSender reports whether a payload's sender ID is the channel's and
+// names a process of the system. Every per-sender structure is indexed by
+// it, so a payload that fails is dropped before it touches any.
+func (n *Node) validSender(channel, from int) bool {
+	return from == channel && from >= 0 && from < n.n
 }
 
 // applyCell applies one update operation to a view's atomic value. OpSet
@@ -847,11 +868,10 @@ func (n *Node) applyRemote(u Update) {
 		default:
 			c.last.Store(packLast(u.From, u.Seq))
 			applyCell(&c.pram, u)
-			n.pending = append(n.pending, deliveryGroup{
+			n.enqueueCausalLocked(&deliveryGroup{
 				from: u.From, firstSeq: u.Seq, lastSeq: u.Seq,
-				prevSeq: u.PrevSeq, deps: u.Deps, count: 1, one: u,
+				prevSeq: u.PrevSeq, deps: u.Deps, count: 1, one: u, cell: c,
 			})
-			n.drainCausalLocked()
 		}
 	case u.Label == history.LabelSlow:
 		// Slow update: timestamp-elided, delivered to the causal view on the
@@ -860,21 +880,19 @@ func (n *Node) applyRemote(u Update) {
 		// fence, and the label contract says no causal read depends on what
 		// a slow location's reads observed.
 		applyCell(&c.pram, u)
-		n.pending = append(n.pending, deliveryGroup{
+		n.enqueueCausalLocked(&deliveryGroup{
 			from: u.From, firstSeq: u.Seq, lastSeq: u.Seq,
-			count: 1, one: u, slow: true,
+			count: 1, one: u, cell: c, slow: true,
 		})
-		n.drainCausalLocked()
 	default:
-		// Causal view: buffer as a singleton group, then drain everything
+		// Causal view: park as a singleton group, then drain everything
 		// deliverable.
 		c.last.Store(packLast(u.From, u.Seq))
 		applyCell(&c.pram, u)
-		n.pending = append(n.pending, deliveryGroup{
+		n.enqueueCausalLocked(&deliveryGroup{
 			from: u.From, firstSeq: u.Seq, lastSeq: u.Seq, ts: u.TS,
-			count: 1, one: u,
+			count: 1, one: u, cell: c,
 		})
-		n.drainCausalLocked()
 	}
 	if n.obs != nil {
 		n.obs.RecordLoc(obs.EvApply, uint8(u.Label), uint16(u.From), u.Loc, u.Seq, 0, 0)
@@ -892,9 +910,9 @@ func (n *Node) applyRemote(u Update) {
 // covered sequence number, and the received count advances by the batch's
 // full Count — including coalesced-away updates — so the barrier and
 // lazy-lock counting protocols account every original write. The causal view
-// receives the batch as one delivery group. Batches that never enter the
-// pending buffer return their entry slice to the batch pool here; buffered
-// groups return it when the group applies (drainCausalLocked).
+// receives the batch as one delivery group. Batches that never enter a
+// pending queue return their entry slice to the batch pool here; parked
+// groups return it when the group applies (deliverGroupLocked).
 func (n *Node) applyBatch(b UpdateBatch) {
 	if len(b.Updates) == 0 {
 		return
@@ -958,7 +976,7 @@ func (n *Node) applyBatch(b UpdateBatch) {
 		n.statMalformed.Add(b.Count)
 		putUpdateSlice(b.Updates)
 	case slow:
-		n.pending = append(n.pending, deliveryGroup{
+		n.enqueueCausalLocked(&deliveryGroup{
 			from:     b.From,
 			firstSeq: b.FirstSeq,
 			lastSeq:  maxSeq,
@@ -966,9 +984,8 @@ func (n *Node) applyBatch(b UpdateBatch) {
 			batch:    b.Updates,
 			slow:     true,
 		})
-		n.drainCausalLocked()
 	case n.scopedCausal:
-		n.pending = append(n.pending, deliveryGroup{
+		n.enqueueCausalLocked(&deliveryGroup{
 			from:     b.From,
 			firstSeq: b.FirstSeq,
 			lastSeq:  maxSeq,
@@ -977,9 +994,8 @@ func (n *Node) applyBatch(b UpdateBatch) {
 			count:    b.Count,
 			batch:    b.Updates,
 		})
-		n.drainCausalLocked()
 	default:
-		n.pending = append(n.pending, deliveryGroup{
+		n.enqueueCausalLocked(&deliveryGroup{
 			from:     b.From,
 			firstSeq: b.FirstSeq,
 			lastSeq:  maxSeq,
@@ -987,81 +1003,120 @@ func (n *Node) applyBatch(b UpdateBatch) {
 			count:    b.Count,
 			batch:    b.Updates,
 		})
-		n.drainCausalLocked()
 	}
 	n.clockCond.Broadcast()
 	n.clockMu.Unlock()
 }
 
-// drainCausalLocked applies pending delivery groups to the causal view in
-// causal order until no more are deliverable. A group (single update or whole
-// batch) is applied atomically with respect to the clock: its causalApplied
-// advance happens after all its values are stored, so a lock-free causal
-// read that sees the advanced clock sees the values. Batch groups return
-// their entry slice to the batch pool once applied.
-func (n *Node) drainCausalLocked() {
-	for {
-		progressed := false
-		kept := n.pending[:0]
-		for _, g := range n.pending {
-			if n.groupDeliverableLocked(g) {
-				if g.batch == nil {
-					n.applyCausal(g.one)
-				} else {
-					for _, u := range g.batch {
-						n.applyCausal(u)
-					}
-				}
-				switch {
-				case g.slow:
-					// Slow group: the sender's FIFO position advances; the
-					// group carries no cross-sender knowledge to absorb.
-					n.causalApplied.set(g.from, g.lastSeq)
-				case g.deps != nil:
-					// Scoped-causal: advance the sender's chain to the
-					// group's last addressed sequence number and absorb the
-					// shipped dependency knowledge. The epoch bump tells the
-					// outbox that pending causal batches now predate part of
-					// the matrix.
-					n.causalApplied.set(g.from, g.lastSeq)
-					n.addr.Merge(g.deps)
-					n.addrEpoch++
-				default:
-					n.causalApplied.merge(g.ts)
-				}
-				n.causalRecvd[g.from] += g.count
-				if g.batch != nil {
-					putUpdateSlice(g.batch)
-				}
-				if n.obs != nil {
-					if g.parkedAt != 0 {
-						parked := time.Now().UnixNano() - g.parkedAt
-						n.obs.Record(obs.EvDepWaitEnd, 0, uint16(g.from), obs.NoLoc,
-							g.firstSeq, uint64(parked), 0)
-					}
-					n.obs.Record(obs.EvGroupRelease, 0, uint16(g.from), obs.NoLoc,
-						g.firstSeq, g.lastSeq, g.count)
-				}
-				progressed = true
-			} else {
-				if n.obs != nil && g.parkedAt == 0 {
-					g.parkedAt = time.Now().UnixNano()
-					n.obs.Record(obs.EvDepWaitBegin, 0, uint16(g.from), obs.NoLoc,
-						g.firstSeq, 0, 0)
-				}
-				kept = append(kept, g)
-			}
+// enqueueCausalLocked parks g on its sender's queue and drains everything
+// deliverable. If g is still parked afterwards, its dep-wait trace span
+// begins here: EvDepWaitBegin is recorded once per group that has to wait,
+// never for a group the drain released. A group at or below what the
+// causal view already applied from its sender can only be a duplicate (the
+// channels are exactly-once); parked, it would sit at the head of the
+// sender's queue forever and wedge every later group, so it is dropped and
+// counted as malformed instead.
+func (n *Node) enqueueCausalLocked(g *deliveryGroup) {
+	if g.firstSeq <= n.causalApplied.get(g.from) {
+		n.statMalformed.Add(1)
+		if g.batch != nil {
+			putUpdateSlice(g.batch)
 		}
-		n.pending = kept
-		if !progressed {
-			return
+		return
+	}
+	q := &n.pending[g.from]
+	q.push(g)
+	n.drainCausalLocked()
+	if n.obs == nil {
+		return
+	}
+	// The queue is in firstSeq order and g usually sits at its tail; a
+	// released g leaves only later groups behind it.
+	for i := len(q.groups) - 1; i >= q.head && q.groups[i].firstSeq >= g.firstSeq; i-- {
+		if p := &q.groups[i]; p.firstSeq == g.firstSeq && p.parkedAt == 0 {
+			p.parkedAt = time.Now().UnixNano()
+			n.obs.Record(obs.EvDepWaitBegin, 0, uint16(p.from), obs.NoLoc,
+				p.firstSeq, 0, 0)
 		}
 	}
 }
 
-func (n *Node) applyCausal(u Update) {
+// drainCausalLocked applies parked delivery groups to the causal view in
+// causal order until no more are deliverable. Only a queue's head can be
+// next from its sender, so each pass looks at the heads alone, delivering
+// runs from each queue; passes repeat while any head delivered, since one
+// sender's delivery can unblock another's head. A group (single update or
+// whole batch) is applied atomically with respect to the clock: its
+// causalApplied advance happens after all its values are stored, so a
+// lock-free causal read that sees the advanced clock sees the values.
+func (n *Node) drainCausalLocked() {
+	for progressed := true; progressed; {
+		progressed = false
+		for j := range n.pending {
+			q := &n.pending[j]
+			for q.len() > 0 {
+				g := &q.groups[q.head]
+				if !n.groupDeliverableLocked(g) {
+					break
+				}
+				n.deliverGroupLocked(g)
+				q.pop()
+				progressed = true
+			}
+		}
+	}
+}
+
+// deliverGroupLocked applies one deliverable group to the causal view and
+// advances the sender's causal clock past it. Batch groups return their
+// entry slice to the batch pool.
+func (n *Node) deliverGroupLocked(g *deliveryGroup) {
+	if g.batch == nil {
+		n.applyCausal(&g.one, g.cell)
+	} else {
+		for i := range g.batch {
+			n.applyCausal(&g.batch[i], nil)
+		}
+	}
+	switch {
+	case g.slow:
+		// Slow group: the sender's FIFO position advances; the group
+		// carries no cross-sender knowledge to absorb.
+		n.causalApplied.set(g.from, g.lastSeq)
+	case g.deps != nil:
+		// Scoped-causal: advance the sender's chain to the group's last
+		// addressed sequence number and absorb the shipped dependency
+		// knowledge. The epoch bump tells the outbox that pending causal
+		// batches now predate part of the matrix.
+		n.causalApplied.set(g.from, g.lastSeq)
+		n.addr.Merge(g.deps)
+		n.addrEpoch++
+	default:
+		n.causalApplied.merge(g.ts)
+	}
+	n.causalRecvd[g.from] += g.count
+	if g.batch != nil {
+		putUpdateSlice(g.batch)
+	}
+	if n.obs != nil {
+		if g.parkedAt != 0 {
+			parked := time.Now().UnixNano() - g.parkedAt
+			n.obs.Record(obs.EvDepWaitEnd, 0, uint16(g.from), obs.NoLoc,
+				g.firstSeq, uint64(parked), 0)
+		}
+		n.obs.Record(obs.EvGroupRelease, 0, uint16(g.from), obs.NoLoc,
+			g.firstSeq, g.lastSeq, g.count)
+	}
+}
+
+// applyCausal applies u to the causal view of its location's cell c, which
+// it looks up when c is nil.
+func (n *Node) applyCausal(u *Update, c *cell) {
 	sh := n.shard(u.Loc)
-	applyCell(&sh.cellFor(u.Loc).causal, u)
+	if c == nil {
+		c = sh.cellFor(u.Loc)
+	}
+	applyCell(&c.causal, *u)
 	sh.wake()
 }
 

@@ -98,9 +98,11 @@ const (
 	// EvReconnect: a TCP peer link (re)established and replayed its
 	// unacked tail. Peer, A = frames replayed.
 	EvReconnect
-	// EvFramePark: a TCP frame was parked during reconnect because its
-	// sequence range was still in flight. Peer, Seq = frame seq,
-	// A = held frames after parking.
+	// EvFramePark is no longer emitted. It recorded a TCP frame parked
+	// during a reconnect while its sequence range was still in flight
+	// (Peer, Seq = frame seq, A = held frames after parking); frames are
+	// no longer pooled, so nothing parks. The constant keeps its value so
+	// older binary traces and the fuzz corpus still decode.
 	EvFramePark
 
 	evTypeCount // sentinel; keep last

@@ -3,14 +3,15 @@ package transport
 import "sync"
 
 // Encode-buffer pool shared by wire transports and payload codecs
-// (DESIGN.md §12). Hot paths that need a scratch []byte — frame encoding,
-// control messages, acks — draw from here instead of allocating per message.
+// (DESIGN.md §12). Hot paths that need a scratch []byte — payload encoding,
+// control frames, connection read buffers — draw from here instead of
+// allocating per message.
 //
 // Lifecycle contract: a buffer obtained with GetBuf is exclusively owned
 // until PutBuf; it must not be retained (directly or via sub-slices that
 // escape) after PutBuf returns it. Callers that hand encoded bytes onward
-// must either copy them out first (the tcp frame writer copies the payload
-// into the frame) or transfer ownership and never return the buffer.
+// must either copy them out first (tcp's push copies the payload into a
+// frame) or transfer ownership and never return the buffer.
 //
 // The pool is a mutex-guarded freelist rather than a sync.Pool: Put on a
 // sync.Pool boxes the slice header, which itself allocates, and these
@@ -21,8 +22,13 @@ var bufPool struct {
 }
 
 // bufPoolMax bounds the freelist length; excess buffers are dropped to the
-// garbage collector. 64 in-flight scratch buffers is far beyond what the
-// per-peer writer goroutines and codecs hold at once.
+// garbage collector. Every buffer drawn from here is scratch: a payload
+// encode or a hello frame holds one for a single call, and each tcp
+// connection's reader holds one for the connection's life. Frames waiting
+// for an ack do not come from the pool (the tcp transport carves them from
+// per-peer arena chunks), so the cap need not cover a replay window: 64
+// leaves room for every connection of a large fleet plus the short-lived
+// encodes.
 const bufPoolMax = 64
 
 // GetBuf returns an empty byte slice with at least 512 bytes of capacity.

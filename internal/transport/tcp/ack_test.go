@@ -163,3 +163,42 @@ func TestOverlappingConnectionsDeliverInOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestForgedSenderFrameDropped feeds a channel whose hello names sender 0 a
+// frame that claims sender 1. The hello fixes the channel's sender, so the
+// frame is dropped as undecodable instead of being delivered as sender 1's;
+// the next genuine frame still arrives.
+func TestForgedSenderFrameDropped(t *testing.T) {
+	trs := newLoopbackT(t, 3)
+	tr := trs[2]
+	var stream []byte
+	stream = transport.AppendUint32(stream, 9)
+	stream = append(stream, frameHello)
+	stream = transport.AppendUint32(stream, helloMagic)
+	stream = transport.AppendUint32(stream, 0)
+	for seq, from := range []int{1, 0} {
+		payload, err := transport.EncodePayload(nil, "tcptest", uint64(from))
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		m := transport.Message{From: from, To: 2, Kind: "tcptest", Size: 8}
+		stream = appendMsgFrame(stream, uint64(seq+1), m, payload)
+	}
+	client, server := net.Pipe()
+	tr.connMu.Lock()
+	tr.conns[server] = struct{}{}
+	tr.connMu.Unlock()
+	tr.wg.Add(1)
+	go tr.serveConn(server)
+	go io.Copy(io.Discard, client) // drain acks
+	go func() {
+		defer client.Close()
+		client.Write(stream)
+	}()
+	if got := recvT(t, tr, 2); got.From != 0 || got.Payload.(uint64) != 0 {
+		t.Fatalf("delivered From=%d payload %v, want sender 0's frame", got.From, got.Payload)
+	}
+	if got := tr.Diag().DecodeErrors; got != 1 {
+		t.Fatalf("DecodeErrors = %d, want 1 (the forged frame)", got)
+	}
+}

@@ -69,6 +69,12 @@ const helloMagic = 0x4d58444d // "MXDM"
 // maxFrame bounds a frame body; larger frames indicate a corrupt stream.
 const maxFrame = 1 << 26
 
+// frameChunk is the size of a peer's frame arena chunks: push encodes
+// outgoing frames back to back into the current chunk, so a burst of small
+// frames costs one allocation per chunk rather than one per frame. A frame
+// larger than a chunk gets an allocation of its own.
+const frameChunk = 4096
+
 // Delayed-ack bounds. A receiver acknowledges no later than ackDelay after
 // the first frame it has not yet acked, and immediately once ackEvery frames
 // are unacked, so a burst cannot grow the sender's replay buffer without
@@ -105,9 +111,9 @@ type Config struct {
 	// decode errors). Silent by default.
 	Logf func(format string, args ...any)
 	// Tracer, when non-nil, records transport resilience events —
-	// reconnects with their replay counts, in-flight frames parked by a
-	// racing ack — into the node's trace ring (internal/obs). Nil, the
-	// default, compiles each site down to a nil check.
+	// reconnects with their replay counts — into the node's trace ring
+	// (internal/obs). Nil, the default, compiles each site down to a nil
+	// check.
 	Tracer *obs.Tracer
 }
 
@@ -201,38 +207,23 @@ type peer struct {
 	// buf holds encoded msg frames not yet acked; buf[i] carries sequence
 	// base+i+1. next indexes the first frame not yet written to the
 	// current connection; a reconnect resets it to 0, replaying the
-	// unacked suffix. Frames are pooled buffers (transport.GetBuf); they
-	// return to the pool when acked, via the in-flight protocol below.
+	// unacked suffix.
 	buf    [][]byte
 	base   uint64
 	next   int
 	conn   net.Conn
 	closed bool
-	// tracer is the transport's Config.Tracer (nil = off), cached here so
-	// ack handling can record frame-park events without a back-pointer.
-	tracer *obs.Tracer
-	// inflightHi is the absolute sequence of the last frame the writer
-	// goroutine is currently handing to the kernel (0 when idle). An ack can
-	// cover an in-flight frame — after a reconnect the receiver re-acks
-	// replayed duplicates while the writer is still streaming them — so
-	// advanceAck parks such frames on held instead of returning them to the
-	// pool; the writer drains held once the write call is over.
-	inflightHi uint64
-	held       [][]byte
+	// chunk is the arena chunk push is filling. Frames are sub-slices of
+	// chunks with their capacity capped at their own length, and a chunk is
+	// only ever appended to, so the bytes of a frame never change once
+	// pushed: the writer may hand them to the kernel outside p.mu while push
+	// fills the rest of the chunk, and an ack can drop a frame the writer
+	// still holds without harm. Frames are never reused; a chunk is garbage
+	// once its last frame is acked and push has moved on to a new one.
+	chunk []byte
 	// wbatch is the writer goroutine's reusable frame-slice scratch. runPeer
-	// guarantees a single writer, so only that goroutine touches it.
+	// guarantees a single writer; it fills and clears wbatch under p.mu.
 	wbatch [][]byte
-}
-
-// releaseHeld returns parked frames to the buffer pool and clears the
-// in-flight window. Caller holds p.mu.
-func (p *peer) releaseHeld() {
-	for i, f := range p.held {
-		transport.PutBuf(f)
-		p.held[i] = nil
-	}
-	p.held = p.held[:0]
-	p.inflightHi = 0
 }
 
 // ErrInvalidNode is returned for out-of-range node IDs.
@@ -277,7 +268,7 @@ func New(cfg Config) (*Transport, error) {
 		if j == cfg.ID {
 			continue
 		}
-		p := &peer{to: j, addr: cfg.Peers[j], tracer: cfg.Tracer}
+		p := &peer{to: j, addr: cfg.Peers[j]}
 		p.cond = sync.NewCond(&p.mu)
 		p.acked = sync.NewCond(&p.mu)
 		t.peers[j] = p
@@ -502,29 +493,34 @@ func (t *Transport) Close() {
 	})
 }
 
-// push encodes m into a pooled frame buffer, assigns the channel's next
-// sequence number, and appends it to the replay buffer. The frame is encoded
-// outside p.mu — only the append needs the lock — and returns to the pool
-// when its ack arrives.
+// push assigns m the channel's next sequence number, encodes it as a frame
+// into the peer's arena chunk, and appends the frame to the replay buffer.
 func (p *peer) push(m transport.Message, payload []byte) {
-	frame := appendMsgFrame(transport.GetBuf(), 0, m, payload)
+	size := msgFrameLen(m, payload)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
-		transport.PutBuf(frame)
 		return
 	}
 	seq := p.base + uint64(len(p.buf)) + 1
-	patchMsgFrameSeq(frame, seq)
+	var frame []byte
+	if size > frameChunk {
+		frame = appendMsgFrame(make([]byte, 0, size), seq, m, payload)
+	} else {
+		if cap(p.chunk)-len(p.chunk) < size {
+			p.chunk = make([]byte, 0, frameChunk)
+		}
+		start := len(p.chunk)
+		p.chunk = appendMsgFrame(p.chunk, seq, m, payload)
+		frame = p.chunk[start:len(p.chunk):len(p.chunk)]
+	}
 	p.buf = append(p.buf, frame)
 	p.cond.Signal()
-	p.mu.Unlock()
 }
 
-// advanceAck trims the replay buffer through the cumulative ack, returning
-// acked frames to the buffer pool — except frames the writer goroutine is
-// concurrently handing to the kernel, which are parked on held until the
-// write call is over.
+// advanceAck drops the frames a cumulative ack covers from the replay
+// buffer, moving the unacked suffix to the front so the buffer's backing
+// array is reused rather than reallocated as the window slides.
 func (p *peer) advanceAck(cum uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -536,20 +532,9 @@ func (p *peer) advanceAck(cum uint64) {
 	if drop > len(p.buf) {
 		drop = len(p.buf)
 	}
-	for i := 0; i < drop; i++ {
-		f := p.buf[i]
-		p.buf[i] = nil
-		if seq := p.base + uint64(i) + 1; p.inflightHi != 0 && seq <= p.inflightHi {
-			p.held = append(p.held, f)
-			if p.tracer != nil {
-				p.tracer.Record(obs.EvFramePark, 0, uint16(p.to), obs.NoLoc,
-					seq, uint64(len(p.held)), 0)
-			}
-		} else {
-			transport.PutBuf(f)
-		}
-	}
-	p.buf = p.buf[drop:]
+	k := copy(p.buf, p.buf[drop:])
+	clear(p.buf[k:])
+	p.buf = p.buf[:k]
 	p.base += uint64(drop)
 	p.next -= drop
 	if p.next < 0 {
@@ -654,7 +639,10 @@ func (t *Transport) writeHello(conn net.Conn) error {
 func (t *Transport) writeFrames(p *peer, conn net.Conn) error {
 	for {
 		p.mu.Lock()
-		p.releaseHeld() // frames acked while the previous write was in flight
+		// Let go of the frames just written: acked ones are the garbage
+		// collector's as soon as nothing else holds them.
+		clear(p.wbatch)
+		p.wbatch = p.wbatch[:0]
 		for p.next >= len(p.buf) && p.conn == conn && !p.closed {
 			p.cond.Wait()
 		}
@@ -662,17 +650,13 @@ func (t *Transport) writeFrames(p *peer, conn net.Conn) error {
 			p.mu.Unlock()
 			return errConnGone
 		}
-		p.wbatch = append(p.wbatch[:0], p.buf[p.next:]...)
-		p.inflightHi = p.base + uint64(len(p.buf))
+		p.wbatch = append(p.wbatch, p.buf[p.next:]...)
 		p.next = len(p.buf)
 		p.mu.Unlock()
 
 		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
 		bufs := net.Buffers(p.wbatch)
 		if _, err := bufs.WriteTo(conn); err != nil {
-			p.mu.Lock()
-			p.releaseHeld()
-			p.mu.Unlock()
 			return err
 		}
 	}
@@ -770,6 +754,11 @@ func (t *Transport) serveConn(conn net.Conn) {
 			continue
 		}
 		m, seq, err := decodeMsgFrame(body)
+		if err == nil && m.From != from {
+			// The hello fixed the channel's sender; dedup and every
+			// per-sender structure above the transport trust m.From.
+			err = fmt.Errorf("tcp: frame names sender %d", m.From)
+		}
 		if err != nil {
 			t.decodeErrors.Add(1)
 			t.cfg.Logf("tcp: node %d from %d: %v", t.id, from, err)
@@ -904,13 +893,10 @@ func appendMsgFrame(dst []byte, seq uint64, m transport.Message, payload []byte)
 	return dst
 }
 
-// patchMsgFrameSeq overwrites the sequence number of a frame produced by
-// appendMsgFrame with an empty dst: the sequence sits right after the 4-byte
-// length prefix and 1-byte frame type. push encodes outside the peer lock
-// with a placeholder sequence and patches the real one once it holds the
-// lock and knows the frame's position.
-func patchMsgFrameSeq(frame []byte, seq uint64) {
-	binary.BigEndian.PutUint64(frame[5:], seq)
+// msgFrameLen is the length of the frame appendMsgFrame encodes for m.
+func msgFrameLen(m transport.Message, payload []byte) int {
+	// length prefix, type, seq, from, to, kind, size, payload length
+	return 4 + 1 + 8 + 4 + 4 + 4 + len(m.Kind) + 4 + 4 + len(payload)
 }
 
 // decodeMsgFrame parses a msg frame body back into a Message.
@@ -944,13 +930,16 @@ func decodeMsgFrame(body []byte) (transport.Message, uint64, error) {
 // when a frame exceeds its capacity. The caller owns exactly one buffer per
 // connection and passes the previous return value back in, so steady-state
 // reading allocates nothing; every decode must copy what it keeps out of the
-// returned slice before the next call.
+// returned slice before the next call. The length prefix is peeked from the
+// reader's own buffer: a local array handed to io.ReadFull would escape and
+// cost an allocation per frame.
 func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+	prefix, err := br.Peek(4)
+	if err != nil {
 		return buf, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(prefix)
+	br.Discard(4)
 	if n > maxFrame {
 		return buf, fmt.Errorf("tcp: frame of %d bytes exceeds limit", n)
 	}
